@@ -84,4 +84,39 @@ TEST(LinkNeutrality, BioZTissueDriftIsPinnedAndThreadInvariant) {
   EXPECT_EQ(campaign_fp("bioz_tissue_drift", 4), kBioZPin);
 }
 
+// The two workload branches the spice fleet pin above never takes,
+// pinned before the campaign scenario and the fleet session were folded
+// into one fault::PatientPipeline: the stock cohorts and seed on the
+// behavioural front end and on the bio-impedance ladder, 200 sessions x
+// 2 exchanges. With the campaign pins these put every branch of the
+// pipeline's workload switch under both RNG lane schemes.
+std::uint64_t workload_fleet_fp(fault::Workload workload,
+                                std::size_t threads) {
+  fleet::FleetConfig config;
+  config.sessions = 200;
+  config.exchanges = 2;
+  config.seed = 0xf1ee70001ULL;
+  config.threads = threads;
+  for (auto& cohort : config.cohorts) cohort.workload = workload;
+  return fleet::run_fleet(config).fingerprint;
+}
+
+TEST(LinkNeutrality, BehaviouralFleetIsPinnedAndThreadInvariant) {
+  constexpr std::uint64_t kBehaviouralFleetPin = 0xef43c0b823668b18ULL;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(workload_fleet_fp(fault::Workload::kLactateBehavioural, threads),
+              kBehaviouralFleetPin)
+        << "threads=" << threads;
+  }
+}
+
+TEST(LinkNeutrality, BioZFleetIsPinnedAndThreadInvariant) {
+  constexpr std::uint64_t kBioZFleetPin = 0x26dfaa8d49974cc3ULL;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(workload_fleet_fp(fault::Workload::kBioZ, threads),
+              kBioZFleetPin)
+        << "threads=" << threads;
+  }
+}
+
 }  // namespace
