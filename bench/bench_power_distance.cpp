@@ -54,7 +54,7 @@ int main() {
     const double d_mm = p["distance_mm"];
     const double d = d_mm * 1e-3;
     magnetics::InductiveLink l{cfg};  // per-point instance: analyze() retunes
-    l.set_distance(d);
+    l.set_geometry(d, cfg.lateral_offset);
     const auto air = l.analyze(drive, load);
     l.set_tissue(magnetics::TissueSlab(magnetics::sirloin_properties(), d));
     const auto meat = l.analyze(drive, load);
@@ -88,11 +88,11 @@ int main() {
   run_report.metric("sweep_parallel_seconds", t_parallel.wall_seconds);
 
   link.set_tissue(std::nullopt);
-  link.set_distance(6e-3);
+  link.set_geometry(6e-3, 0.0);
   std::cout << "\nAnchor checks:\n  P(6 mm, air)      = "
             << util::format_si(link.analyze(drive, load).power_delivered, "W")
             << "  (paper: 15 mW, by calibration)\n";
-  link.set_distance(17e-3);
+  link.set_geometry(17e-3, 0.0);
   const double p_air17 = link.analyze(drive, load).power_delivered;
   link.set_tissue(magnetics::TissueSlab(magnetics::sirloin_properties(), 17e-3));
   const double p_meat17 = link.analyze(drive, load).power_delivered;
@@ -103,9 +103,8 @@ int main() {
   std::cout << "\nMisalignment at 6 mm (fixed drive):\n";
   util::Table m({"lateral offset (mm)", "P (mW)", "k"});
   link.set_tissue(std::nullopt);
-  link.set_distance(6e-3);
   for (double off_mm : {0.0, 5.0, 10.0, 20.0, 30.0, 40.0}) {
-    link.set_lateral_offset(off_mm * 1e-3);
+    link.set_geometry(6e-3, off_mm * 1e-3);
     const auto a = link.analyze(drive, load);
     m.add_row({util::Table::cell(off_mm, 3),
                util::Table::cell(a.power_delivered * 1e3, 4),

@@ -80,8 +80,7 @@ int main() {
   magnetics::InductiveLink link{magnetics::LinkConfig{}};
   for (double d : {4.0, 6.0, 10.0, 17.0}) {
     for (double off : {0.0, 8.0}) {
-      link.set_distance(d * 1e-3);
-      link.set_lateral_offset(off * 1e-3);
+      link.set_geometry(d * 1e-3, off * 1e-3);
       const double rl = link.optimal_load_resistance();
       const auto a = link.analyze(1.0, rl);
       place.add_row({util::Table::cell(d, 3), util::Table::cell(off, 3),
@@ -108,8 +107,7 @@ int main() {
   match.print(std::cout);
 
   std::cout << "\nClass-E transmitter for the reflected load at 6 mm:\n";
-  link.set_distance(6e-3);
-  link.set_lateral_offset(0.0);
+  link.set_geometry(6e-3, 0.0);
   const auto analysis = link.analyze(1.0, link.optimal_load_resistance());
   const double omega_m = 2.0 * 3.14159265358979 * 5e6 * analysis.mutual;
   const double reflected =

@@ -6,23 +6,18 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/comms/protocol.hpp"
 #include "src/exec/thread_pool.hpp"
-#include "src/fault/bioz.hpp"
-#include "src/fault/injector.hpp"
+#include "src/fault/pipeline.hpp"
 #include "src/fault/plant.hpp"
-#include "src/link/phy.hpp"
 #include "src/fault/session.hpp"
 #include "src/fault/validate.hpp"
-#include "src/magnetics/link.hpp"
+#include "src/link/inductive.hpp"
+#include "src/link/phy.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/patch/scheduler.hpp"
-#include "src/pm/rectifier.hpp"
 #include "src/pm/regulator.hpp"
 #include "src/spice/analysis/analysis.hpp"
-#include "src/spice/circuit.hpp"
-#include "src/spice/engine.hpp"
 #include "src/util/fingerprint.hpp"
 #include "src/util/rng.hpp"
 
@@ -58,137 +53,32 @@ std::uint64_t fingerprint_scenarios(const std::vector<ScenarioResult>& scenarios
 
 // --- scenario runners -------------------------------------------------------
 
-// One end-to-end scenario against `schedule`: measurements flow through
-// the session layer over BER channels wrapped by the injector and the
-// backend's modulation hooks, each executed measurement drives the
-// scenario's workload (rectifier transient segment, behavioural front
-// end, or the bio-impedance ladder), and the LDO regulation invariant
-// is checked under the injected rail scale.
+// One end-to-end scenario against `schedule` through the patient
+// pipeline, on lanes keyed by (seed, 3 * index + k), recording into the
+// scenario's scoped child registry (run_campaign aggregates the children
+// into cohort.* percentiles).
 ScenarioResult run_link_scenario(const CampaignConfig& config, int index,
-                                 const FaultSchedule& schedule,
-                                 const SessionOptions& session_options,
+                                 FaultSchedule schedule,
+                                 SessionOptions session_options,
                                  Workload workload,
                                  obs::MetricsRegistry& scoped) {
+  PatientPipeline pipeline;
+  pipeline.backend = config.link;
+  pipeline.schedule = std::move(schedule);
+  pipeline.session = std::move(session_options);
+  pipeline.workload = workload;
+  pipeline.analysis_hints = config.analysis_hints;
+  pipeline.exchanges = config.exchanges;
+  pipeline.injector_rng = util::Rng::stream(config.seed, 3u * index + 0);
+  pipeline.channel_rng = util::Rng::stream(config.seed, 3u * index + 1);
+  pipeline.session_rng = util::Rng::stream(config.seed, 3u * index + 2);
+  if constexpr (obs::kEnabled) {
+    pipeline.latency = &scoped.histogram("fault.scenario.exchange_latency_s");
+  }
+
   ScenarioResult result;
   result.index = index;
-
-  SimClock clock;
-  FaultInjector injector(&schedule, &clock,
-                         util::Rng::stream(config.seed, 3u * index + 0));
-  util::Rng channel_rng = util::Rng::stream(config.seed, 3u * index + 1);
-  LinkBudget budget(config.link);
-  const double sensitivity = budget.p_nominal / 8.0;  // snr 8 when nominal
-  const double cadence = budget.nominal().cadence_s;
-  RectifierPlant plant;
-  plant.carrier_hz = budget.nominal().carrier_hz;
-  plant.analysis_hints = config.analysis_hints;
-  BioZPlant bioz;
-  bioz.analysis_hints = config.analysis_hints;
-  const pm::LdoModel ldo;
-
-  const auto make_factory = [&](LinkDirection direction) -> ChannelFactory {
-    return [&, direction](double rate) -> comms::Channel {
-      comms::Channel physical = [&, rate](const comms::Bits& bits) {
-        const double ber = budget.bit_error_rate(budget.power_now(injector),
-                                                 sensitivity, rate);
-        comms::Bits out = bits;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          if (channel_rng.bernoulli(ber)) out[i] = !out[i];
-        }
-        return out;
-      };
-      // Fault wrapper inside, backend modulation outside: burst faults
-      // corrupt the backend's channel symbols (PWM chips on the ME
-      // uplink), and the codec gets to absorb what it can.
-      comms::Channel faulted = injector.wrap(std::move(physical), direction);
-      return direction == LinkDirection::kUplink
-                 ? budget.phy->wrap_uplink(std::move(faulted))
-                 : budget.phy->wrap_downlink(std::move(faulted));
-    };
-  };
-
-  const auto handler = [&](const comms::Request& request) -> comms::Response {
-    comms::Response response;
-    response.ok = true;
-    if (request.command == comms::Command::kMeasure) {
-      tally_active(injector, schedule, clock.now());
-      const double power = budget.power_now(injector);
-      const double amplitude = budget.drive_amplitude(power, injector);
-      double vo = 0.0;    // what the ADC digitizes
-      double rail = 0.0;  // what the LDO regulates
-      switch (workload) {
-        case Workload::kLactateSpice:
-          vo = plant.measure(amplitude);
-          rail = vo;
-          break;
-        case Workload::kLactateBehavioural:
-          // Behavioural front end for the soak: peak minus a diode
-          // drop, clamped at the four-diode chain voltage.
-          vo = std::clamp(amplitude - 0.75, 0.0, 3.0);
-          rail = vo;
-          break;
-        case Workload::kBioZ:
-          // The sense tap is a tissue voltage, not the supply: the rail
-          // the LDO sees is the behavioural rectifier output.
-          vo = bioz.measure(amplitude,
-                            bioz_tissue_scale(injector.tissue_thickness()));
-          rail = std::clamp(amplitude - 0.75, 0.0, 3.0);
-          break;
-      }
-      if (!ldo.in_regulation(rail * injector.rail_scale())) {
-        ++result.ldo_violations;
-      }
-      const std::uint16_t code = adc_code(vo);
-      response.payload = {static_cast<std::uint8_t>(code >> 8),
-                          static_cast<std::uint8_t>(code & 0xff)};
-    }
-    return response;
-  };
-
-  Session session(make_factory(LinkDirection::kDownlink),
-                  make_factory(LinkDirection::kUplink), handler, &clock,
-                  util::Rng::stream(config.seed, 3u * index + 2),
-                  session_options);
-
-  // Per-scenario (cohort) telemetry lands in the scoped child registry;
-  // run_campaign aggregates the children into cohort.* percentiles.
-  obs::Histogram* latency = nullptr;
-  if constexpr (obs::kEnabled) {
-    latency = &scoped.histogram("fault.scenario.exchange_latency_s");
-  }
-
-  for (int i = 0; i < config.exchanges; ++i) {
-    const auto outcome = session.exchange(comms::Command::kMeasure);
-    ++result.exchanges;
-    if constexpr (obs::kEnabled) latency->observe(outcome.elapsed);
-    if (outcome.ok && outcome.response->payload.size() >= 2) {
-      ++result.completed;
-      result.adc_codes.push_back(static_cast<std::uint16_t>(
-          (outcome.response->payload[0] << 8) | outcome.response->payload[1]));
-    } else {
-      ++result.lost;
-    }
-    clock.advance(cadence);
-  }
-
-  const auto& stats = session.stats();
-  result.retries = stats.retries;
-  result.recovered = stats.recovered;
-  result.recover_seconds = stats.recover_seconds;
-  result.backoff_seconds = stats.backoff_seconds;
-  result.rate_fallbacks = stats.rate_fallbacks;
-  result.rate_recoveries = stats.rate_recoveries;
-  result.restarts = plant.restarts;
-  // The bio-impedance plant is stateless; its committed work is the
-  // measurement count, reported in the same column.
-  result.checkpoints =
-      workload == Workload::kBioZ ? bioz.measurements : plant.checkpoints;
-  result.power_queries = budget.power_queries;
-  result.final_rate = session.current_rate();
-  result.sim_time = clock.now();
-  for (int k = 0; k < kFaultKindCount; ++k) {
-    result.faults_injected[k] = injector.injected(static_cast<FaultKind>(k));
-  }
+  static_cast<PipelineTally&>(result) = pipeline.run();
   if constexpr (obs::kEnabled) {
     scoped.counter("fault.scenario.retries")
         .add(static_cast<std::uint64_t>(result.retries));
@@ -218,14 +108,12 @@ FaultSchedule make_ask_burst_schedule(int index) {
 
 ScenarioResult run_ask_burst_scenario(const CampaignConfig& config, int index,
                                       obs::MetricsRegistry& scoped) {
-  const FaultSchedule schedule = make_ask_burst_schedule(index);
-
   SessionOptions options;
   options.max_attempts = 20;
   options.exchange_timeout = 30.0;
-  options.rate_ladder = {100e3, 50e3, 25e3, 12.5e3, 6.25e3};
-  return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateSpice, scoped);
+  options.rate_ladder = {1.0, 0.5, 0.25, 0.125, 0.0625};
+  return run_link_scenario(config, index, make_ask_burst_schedule(index),
+                           options, Workload::kLactateSpice, scoped);
 }
 
 // Stochastic soak: every fault kind drawn from a seeded schedule, the
@@ -240,12 +128,12 @@ FaultSchedule make_stochastic_schedule(const CampaignConfig& config, int index) 
 
 ScenarioResult run_stochastic_scenario(const CampaignConfig& config, int index,
                                        obs::MetricsRegistry& scoped) {
-  const FaultSchedule schedule = make_stochastic_schedule(config, index);
-
   SessionOptions options;
   options.max_attempts = 10;
   options.exchange_timeout = 10.0;
-  return run_link_scenario(config, index, schedule, options,
+  options.rate_ladder = kRelativeRateLadder;
+  return run_link_scenario(config, index,
+                           make_stochastic_schedule(config, index), options,
                            Workload::kLactateBehavioural, scoped);
 }
 
@@ -272,14 +160,12 @@ FaultSchedule make_me_schedule(const CampaignConfig& config, int index) {
 
 ScenarioResult run_me_scenario(const CampaignConfig& config, int index,
                                obs::MetricsRegistry& scoped) {
-  const FaultSchedule schedule = make_me_schedule(config, index);
-
   SessionOptions options;
   options.max_attempts = 20;
   options.exchange_timeout = 30.0;
-  options.rate_ladder = {4e3, 2e3, 1e3};
-  return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateSpice, scoped);
+  options.rate_ladder = {1.0, 0.5, 0.25};  // 4 / 2 / 1 kbit/s
+  return run_link_scenario(config, index, make_me_schedule(config, index),
+                           options, Workload::kLactateSpice, scoped);
 }
 
 // Bio-impedance under drift: a permanent Re/Ri drift (oedema onset)
@@ -300,13 +186,12 @@ FaultSchedule make_bioz_schedule(const CampaignConfig& config, int index) {
 
 ScenarioResult run_bioz_scenario(const CampaignConfig& config, int index,
                                  obs::MetricsRegistry& scoped) {
-  const FaultSchedule schedule = make_bioz_schedule(config, index);
-
   SessionOptions options;
   options.max_attempts = 12;
   options.exchange_timeout = 10.0;
-  return run_link_scenario(config, index, schedule, options, Workload::kBioZ,
-                           scoped);
+  options.rate_ladder = kRelativeRateLadder;
+  return run_link_scenario(config, index, make_bioz_schedule(config, index),
+                           options, Workload::kBioZ, scoped);
 }
 
 // Brownouts against the degradation ladder: injected charge dips strike
@@ -368,7 +253,7 @@ std::string plan_label(const CampaignConfig& config, int index) {
 // nominal operating point.
 double plant_envelope_vmax() {
   static const double vmax = [] {
-    const auto ckt = RectifierPlant::build(kNominalDrive);
+    const auto ckt = RectifierPlant::build(link::kInductiveNominal.drive_v);
     const auto report = spice::analysis::analyze(*ckt);
     double peak = 0.0;
     for (const auto& node : report.envelope.nodes) {
@@ -382,7 +267,7 @@ double plant_envelope_vmax() {
 
 void validate_ask_burst_plan(const CampaignConfig& config, int index) {
   PlanContext context;
-  context.horizon = kCadence * config.exchanges;
+  context.horizon = link::kInductiveNominal.cadence_s * config.exchanges;
   context.envelope_vmax = plant_envelope_vmax();
   // An overvoltage only matters if the scaled drive can push the rail
   // past the LDO's input floor.
@@ -393,7 +278,8 @@ void validate_ask_burst_plan(const CampaignConfig& config, int index) {
 
 void validate_stochastic_plan(const CampaignConfig& config, int index) {
   PlanContext context;
-  context.horizon = kCadence * config.exchanges + 1.0;  // generator horizon
+  // The stochastic generator's horizon runs 1 s past the last exchange.
+  context.horizon = link::kInductiveNominal.cadence_s * config.exchanges + 1.0;
   require_valid_schedule(make_stochastic_schedule(config, index), context,
                          plan_label(config, index));
 }

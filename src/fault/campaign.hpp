@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/fault/pipeline.hpp"
 #include "src/fault/schedule.hpp"
 
 namespace ironic::fault {
@@ -38,27 +39,11 @@ struct CampaignConfig {
   bool analysis_hints = false;
 };
 
-struct ScenarioResult {
+// A link scenario's pipeline tally. A brownout scenario runs no link:
+// it fills the exchange counts, sim_time and the brownouts applied.
+struct ScenarioResult : PipelineTally {
   int index = 0;
-  int exchanges = 0;   // measurement exchanges attempted
-  int completed = 0;   // exchanges that delivered data
-  int lost = 0;        // exchanges abandoned -> lost measurements
-  int retries = 0;
-  int recovered = 0;   // exchanges that needed >= 1 retry yet completed
-  double recover_seconds = 0.0;  // elapsed summed over recovered exchanges
-  double backoff_seconds = 0.0;
-  int rate_fallbacks = 0;
-  int rate_recoveries = 0;
-  int restarts = 0;     // spice segments re-run from a committed checkpoint
-  int checkpoints = 0;  // committed transient checkpoints
-  int ldo_violations = 0;
   int brownouts = 0;
-  double final_rate = 0.0;  // [bit/s] session rate at scenario end
-  double sim_time = 0.0;    // scenario SimClock at the end [s]
-  std::uint64_t faults_injected[kFaultKindCount] = {};
-  std::vector<std::uint16_t> adc_codes;  // one per completed measurement
-  // LinkPhy power queries served (telemetry only, never fingerprinted).
-  std::uint64_t power_queries = 0;
 };
 
 struct CampaignResult {

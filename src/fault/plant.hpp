@@ -3,20 +3,19 @@
 // ladder plays against, and the rectifier transient plant whose analog
 // state persists between measurements through spice checkpoints.
 //
-// Extracted from the campaign runner so the fleet service can run the
-// same pipeline per patient session. The plant adds the fleet's scaling
-// lever: `fork_from` adopts a shared charged-up TransientCheckpoint as
-// the committed operating point *without copying it* — thousands of
-// sessions reference one immutable blob, and each plant detaches onto
-// its own private checkpoint the first time it commits a segment
-// (copy-on-write). `capture_charged_checkpoint` produces that shared
+// fault::PatientPipeline runs these per campaign scenario and per fleet
+// session. The plant adds the fleet's scaling lever: `fork_from` adopts
+// a shared charged-up TransientCheckpoint as the committed operating
+// point *without copying it* — thousands of sessions reference one
+// immutable blob, and each plant detaches onto its own private
+// checkpoint the first time it commits a segment (copy-on-write). `capture_charged_checkpoint` produces that shared
 // blob by running the ~270 us charge-up transient once.
 //
 // Since the LinkPhy refactor the physical layer is pluggable: LinkBudget
 // dispatches through a link::LinkPhy backend ("inductive" reproduces the
 // pre-refactor pipeline bit-for-bit; "me" swaps in the magnetoelectric
 // transducer with PWM backscatter), and the nominal operating point
-// lives in the backend's link::NominalProfile instead of free constants.
+// lives in the backend's link::NominalProfile.
 #pragma once
 
 #include <cstdint>
@@ -33,20 +32,6 @@
 #include "src/spice/engine.hpp"
 
 namespace ironic::fault {
-
-// Deprecated aliases for the former hard-coded nominal link constants;
-// they are the *inductive* backend's numbers. New code should read
-// LinkBudget::nominal() (or link::nominal_profile(name)) so multi-
-// backend call sites can never mix one backend's BER model with
-// another's operating point.
-inline constexpr double kNominalRate =
-    link::kInductiveNominal.rate_bps;  // ASK downlink [bit/s]
-inline constexpr double kCadence =
-    link::kInductiveNominal.cadence_s;  // [s] between measurements
-inline constexpr double kLoadOhms =
-    link::kInductiveNominal.load_ohms;  // rectifier input impedance scale
-inline constexpr double kNominalDrive =
-    link::kInductiveNominal.drive_v;  // rectifier input amplitude [V]
 
 // Which sensing front end a scenario/session drives per measurement:
 // the spice rectifier + lactate potentiostat plant, its behavioural
@@ -88,13 +73,6 @@ struct LinkBudget {
 
   double bit_error_rate(double power, double sensitivity, double rate) const;
 };
-
-// Deprecated free-function forms of the inductive backend's laws (the
-// pre-LinkPhy API); prefer the LinkBudget members, which dispatch to
-// the session's actual backend.
-double drive_amplitude(double power, double p_nominal,
-                       const FaultInjector& injector);
-double bit_error_rate_for(double power, double sensitivity, double rate);
 
 // Tally the continuously-active fault kinds once per executed
 // measurement (the comms kinds tally per corrupted frame inside the
@@ -154,7 +132,7 @@ struct RectifierPlant {
 // different backends (different amplitude/carrier) get distinct blobs
 // while same-backend cohorts share one.
 struct ChargeUpSpec {
-  double amplitude = kNominalDrive;
+  double amplitude = link::kInductiveNominal.drive_v;
   double carrier_hz = link::kInductiveNominal.carrier_hz;
   double duration = 270e-6;  // [s] the paper's charge-up time scale
   double dt_max = 10e-9;     // matches the measurement segments

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/link/inductive.hpp"
 #include "src/link/phy.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -65,8 +66,9 @@ void validate(const FleetConfig& config) {
 
 int effective_exchanges(const FleetConfig& config) {
   if (config.soak_seconds > 0.0) {
+    const double cadence = link::kInductiveNominal.cadence_s;
     return std::max(
-        1, static_cast<int>(std::ceil(config.soak_seconds / fault::kCadence)));
+        1, static_cast<int>(std::ceil(config.soak_seconds / cadence)));
   }
   return config.exchanges;
 }

@@ -36,8 +36,8 @@ struct FleetConfig {
   std::size_t threads = 1;  // pool size for run_fleet (0 = hardware)
   std::uint64_t seed = 0xf1ee70001ull;
   int exchanges = 4;  // per session; overridden when soak_seconds > 0
-  // Simulated per-session horizon [s]: > 0 runs ceil(soak / kCadence)
-  // exchanges. Simulated time, not wall time, so a soak is exactly as
+  // Simulated per-session horizon [s]: > 0 runs ceil(soak / cadence)
+  // exchanges at the inductive link's 0.25 s cadence. Simulated time, not wall time, so a soak is exactly as
   // deterministic as a fixed exchange count.
   double soak_seconds = 0.0;
   // false = every session captures its own charge-up (the solo path,
@@ -57,7 +57,8 @@ struct FleetConfig {
   SupervisorPolicy supervise;
 };
 
-// ceil(soak_seconds / kCadence) when soaking, else config.exchanges.
+// ceil(soak_seconds / link::kInductiveNominal.cadence_s) when soaking,
+// else config.exchanges.
 int effective_exchanges(const FleetConfig& config);
 
 struct CohortSummary {

@@ -1,7 +1,6 @@
-// One patient session: the full spice + magnetics + comms + fault
-// pipeline (the campaign's link scenario with the rectifier transient
-// plant) run against a per-session stochastic fault schedule, with its
-// own SimClock and private RNG lanes.
+// One patient session: the patient pipeline (fault::PatientPipeline, the
+// same one campaign scenarios run) against a per-session stochastic
+// fault schedule, with its own SimClock and private RNG lanes.
 //
 // Determinism contract (the fleet's hard guarantee): every value in
 // SessionResult that feeds fingerprint_session is a pure function of
@@ -13,12 +12,12 @@
 // bitwise, is enforced by tests and CI on this property.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/fault/pipeline.hpp"
 #include "src/fault/plant.hpp"
 #include "src/fault/schedule.hpp"
 #include "src/fleet/failure.hpp"
@@ -41,7 +40,9 @@ struct CohortProfile {
   // Session-layer firmware knobs.
   int max_attempts = 12;
   double exchange_timeout = 10.0;  // [s]
-  std::vector<double> rate_ladder = {100e3, 50e3, 25e3, 12.5e3};
+  // Downlink rates relative to the backend's nominal rate, fastest
+  // first (100 / 50 / 25 / 12.5 kbit/s on the inductive link).
+  std::vector<double> rate_ladder = fault::kRelativeRateLadder;
   // LinkPhy backend this cohort's implants are powered by (see
   // link::backend_names()); sets the session cadence and — for
   // non-inductive backends — the charge-up amplitude/carrier.
@@ -68,26 +69,9 @@ struct SessionSpec {
   bool analysis_hints = false;
 };
 
-struct SessionResult {
+struct SessionResult : fault::PipelineTally {
   std::uint64_t index = 0;
   std::string cohort;
-  // Deterministic outcome fields (all of these feed the fingerprint).
-  int exchanges = 0;
-  int completed = 0;
-  int lost = 0;
-  int retries = 0;
-  int recovered = 0;
-  double recover_seconds = 0.0;
-  double backoff_seconds = 0.0;
-  int rate_fallbacks = 0;
-  int rate_recoveries = 0;
-  int restarts = 0;
-  int checkpoints = 0;
-  int ldo_violations = 0;
-  double final_rate = 0.0;
-  double sim_time = 0.0;
-  std::array<std::uint64_t, fault::kFaultKindCount> faults_injected{};
-  std::vector<std::uint16_t> adc_codes;
   // Wall-clock accounting, excluded from the fingerprint.
   bool forked = false;               // ran from a shared checkpoint
   double wall_seconds = 0.0;         // session body (charge-up excluded)

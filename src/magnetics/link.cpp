@@ -93,14 +93,10 @@ double InductiveLink::drive_for_power(double target_power, double load_resistanc
   return probe * std::sqrt(target_power / at_probe.power_delivered);
 }
 
-void InductiveLink::set_distance(double distance) {
+void InductiveLink::set_geometry(double distance, double lateral_offset) {
   if (distance <= 0.0) throw std::invalid_argument("InductiveLink: distance must be > 0");
   config_.distance = distance;
-  recompute();
-}
-
-void InductiveLink::set_lateral_offset(double offset) {
-  config_.lateral_offset = offset;
+  config_.lateral_offset = lateral_offset;
   recompute();
 }
 

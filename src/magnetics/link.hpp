@@ -60,9 +60,11 @@ class InductiveLink {
   // Drive amplitude needed to deliver `target_power` into `load` [V].
   double drive_for_power(double target_power, double load_resistance) const;
 
-  // Reconfigure the geometry (retunes k and M).
-  void set_distance(double distance);
-  void set_lateral_offset(double offset);
+  // Reconfigure the geometry: face-to-face separation and lateral
+  // misalignment [m], retuning k and M once. Throws
+  // std::invalid_argument (leaving the link unchanged) unless
+  // distance > 0.
+  void set_geometry(double distance, double lateral_offset);
   void set_tissue(std::optional<TissueSlab> tissue);
 
   // Instantiate the link as coupled inductors (with ESR) between the

@@ -6,7 +6,7 @@
 // configurations read like a datasheet:
 //
 //   auto c = Capacitor{10.0_nF};
-//   link.set_distance(6.0_mm);
+//   link.set_geometry(6.0_mm, 0.0_mm);
 #pragma once
 
 namespace ironic::units {

@@ -10,6 +10,8 @@
 #include <string>
 
 #include "src/fault/campaign.hpp"
+#include "src/fault/pipeline.hpp"
+#include "src/link/phy.hpp"
 #include "src/obs/obs.hpp"
 
 namespace {
@@ -156,6 +158,32 @@ TEST(FaultCampaign, RejectsBadConfig) {
   config = CampaignConfig{};
   config.exchanges = -1;
   EXPECT_THROW(run_campaign(config), std::invalid_argument);
+}
+
+// The pipeline's rate ladder is relative to the backend's nominal rate:
+// with no faults scheduled, every backend runs at its own nominal rate.
+TEST(PatientPipeline, ScalesTheLadderByTheBackendNominalRate) {
+  for (const std::string backend : {"inductive", "me"}) {
+    PatientPipeline pipeline;
+    pipeline.backend = backend;
+    pipeline.workload = Workload::kLactateBehavioural;
+    pipeline.exchanges = 3;
+    const auto tally = pipeline.run();
+    EXPECT_EQ(tally.completed, 3) << backend;
+    EXPECT_EQ(tally.final_rate, ironic::link::nominal_profile(backend).rate_bps)
+        << backend;
+  }
+}
+
+// A rung given in bit/s (or a non-positive one) is a caller bug.
+TEST(PatientPipeline, RejectsRungsOutsideTheUnitInterval) {
+  PatientPipeline pipeline;
+  pipeline.workload = Workload::kLactateBehavioural;
+  pipeline.exchanges = 1;
+  pipeline.session.rate_ladder = {100e3, 50e3};
+  EXPECT_THROW(pipeline.run(), std::invalid_argument);
+  pipeline.session.rate_ladder = {1.0, 0.0};
+  EXPECT_THROW(pipeline.run(), std::invalid_argument);
 }
 
 }  // namespace

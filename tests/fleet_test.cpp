@@ -487,4 +487,21 @@ TEST(Fleet, HashedStreamsGiveCohortsIndependentSchedules) {
   EXPECT_TRUE(differs);
 }
 
+// Rate ladders are relative to the cohort backend's nominal rate, so an
+// all-ME fleet steps down from the ME link's own 4 kbit/s. Pinned when
+// the ladders became relative: before, the stock cohorts kept the
+// inductive 100-12.5 kbit/s rungs on the ME link and this fleet lost
+// 0.32 of its measurements.
+TEST(Fleet, MagnetoelectricFleetRunsTheLadderOfItsBackend) {
+  constexpr std::uint64_t kMeFleetPin = 0x3a3a9bab66156b8aULL;
+  fleet::FleetConfig config = small_config();
+  config.sessions = 24;
+  config.exchanges = 4;
+  for (auto& cohort : config.cohorts) cohort.link = "me";
+  const auto result = fleet::run_fleet(config);
+  EXPECT_EQ(result.failed, 0);
+  EXPECT_LE(result.lost_rate, 0.05);
+  EXPECT_EQ(result.fingerprint, kMeFleetPin);
+}
+
 }  // namespace

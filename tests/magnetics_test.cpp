@@ -247,7 +247,7 @@ TEST(Link, PowerFallsWithDistanceBeyondCriticalCoupling) {
   const double rl = 10.0;
   double prev = 1e9;
   for (double d : {10e-3, 14e-3, 17e-3, 21e-3, 25e-3, 30e-3}) {
-    link.set_distance(d);
+    link.set_geometry(d, 0.0);
     const double p = link.analyze(1.0, rl).power_delivered;
     EXPECT_LT(p, prev) << "at d=" << d;
     prev = p;
@@ -259,7 +259,7 @@ TEST(Link, EfficiencyFallsMonotonicallyWithDistance) {
   const double rl = 10.0;
   double prev = 1.0;
   for (double d : {4e-3, 6e-3, 10e-3, 17e-3, 25e-3}) {
-    link.set_distance(d);
+    link.set_geometry(d, 0.0);
     const double eff = link.analyze(1.0, rl).efficiency;
     EXPECT_LT(eff, prev) << "at d=" << d;
     prev = eff;
@@ -299,7 +299,11 @@ TEST(Link, AddToCircuitProducesCoupledInductors) {
 
 TEST(Link, RejectsInvalidConfig) {
   InductiveLink link{LinkConfig{}};
-  EXPECT_THROW(link.set_distance(0.0), std::invalid_argument);
+  const double coupling = link.coupling();
+  EXPECT_THROW(link.set_geometry(0.0, 5e-3), std::invalid_argument);
+  // A rejected geometry leaves the link as it was.
+  EXPECT_EQ(link.config().lateral_offset, 0.0);
+  EXPECT_EQ(link.coupling(), coupling);
   EXPECT_THROW(link.analyze(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(link.drive_for_power(-1.0, 10.0), std::invalid_argument);
 }

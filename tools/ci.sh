@@ -46,9 +46,11 @@
 #                link_neutrality_test), the magnetoelectric campaign
 #                fingerprint pinned across three thread counts, the
 #                bio-impedance campaign and fleet smoke (stateless
-#                workload -> zero charge-ups, zero forks), the --link
-#                exit-2 contract on all three runners, and the link.*
-#                telemetry schema pinned via trace_validate
+#                workload -> zero charge-ups, zero forks), an ME fleet
+#                thread-count invariant and losing at most 5% of its
+#                measurements, the --link exit-2 contract on all three
+#                runners, and the link.* telemetry schema pinned via
+#                trace_validate
 #  11. obs       bench_obs_overhead in-process budget gate (instrumented
 #                fault campaign must stay within 5% of the obs-off run),
 #                and every *committed* BENCH_*.json must have been
@@ -483,6 +485,15 @@ run_linkphy() {
     echo "ci: FAIL -- me fleet fingerprints differ across thread counts" >&2
     exit 1
   fi
+  # Rate ladders are relative to the backend's nominal rate, so the stock
+  # cohorts step down from the ME link's own 4 kbit/s and lose almost
+  # nothing.
+  local me_lost
+  me_lost="$(grep -m1 '^  "lost_rate"' "$mf1" | sed 's/.*: *//; s/,$//')"
+  if ! awk -v v="$me_lost" 'BEGIN { exit !(v != "" && v + 0 <= 0.05) }'; then
+    echo "ci: FAIL -- me fleet lost_rate ${me_lost:-missing} exceeds 0.05" >&2
+    exit 1
+  fi
 
   # --link contract: an unknown backend is a usage error (exit 2) on
   # every runner that takes the flag, with the registered names listed.
@@ -509,7 +520,8 @@ run_linkphy() {
     exit 1
   fi
   echo "ci: linkphy neutrality diff clean; me pinned at 3 thread counts;" \
-       "bioz campaign+fleet smoke pass; --link exit-2 contract holds"
+       "me fleet lost_rate $me_lost; bioz campaign+fleet smoke pass;" \
+       "--link exit-2 contract holds"
 }
 
 run_obs() {

@@ -57,7 +57,7 @@ SweepDef make_power_distance() {
   exec::SweepRowFn row = [cfg, load, drive](const exec::SweepPoint& p) {
     const double d = p["distance_mm"] * 1e-3;
     magnetics::InductiveLink link{cfg};
-    link.set_distance(d);
+    link.set_geometry(d, cfg.lateral_offset);
     const auto air = link.analyze(drive, load);
     link.set_tissue(magnetics::TissueSlab(magnetics::sirloin_properties(), d));
     const auto meat = link.analyze(drive, load);
