@@ -95,6 +95,11 @@ double InductiveLink::drive_for_power(double target_power, double load_resistanc
 
 void InductiveLink::set_geometry(double distance, double lateral_offset) {
   if (distance <= 0.0) throw std::invalid_argument("InductiveLink: distance must be > 0");
+  // recompute() reads only the geometry and the coils, which are fixed at
+  // construction: the same geometry would recompute the same bits.
+  if (distance == config_.distance && lateral_offset == config_.lateral_offset) {
+    return;
+  }
   config_.distance = distance;
   config_.lateral_offset = lateral_offset;
   recompute();

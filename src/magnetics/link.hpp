@@ -61,9 +61,9 @@ class InductiveLink {
   double drive_for_power(double target_power, double load_resistance) const;
 
   // Reconfigure the geometry: face-to-face separation and lateral
-  // misalignment [m], retuning k and M once. Throws
-  // std::invalid_argument (leaving the link unchanged) unless
-  // distance > 0.
+  // misalignment [m], retuning k and M once, or not at all when both
+  // equal the current values. Throws std::invalid_argument (leaving the
+  // link unchanged) unless distance > 0.
   void set_geometry(double distance, double lateral_offset);
   void set_tissue(std::optional<TissueSlab> tissue);
 

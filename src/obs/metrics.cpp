@@ -83,14 +83,15 @@ void Gauge::set(double v) {
   // Rebase: zero the shards so value() == v afterwards (a concurrent
   // add() may land before or after the rebase — benign, same contract
   // as the CAS-based predecessor).
-  for (auto& cell : cells_) cell.v.store(0.0, std::memory_order_relaxed);
+  cells_.for_each([](detail::ShardF64& cell) {
+    cell.v.store(0.0, std::memory_order_relaxed);
+  });
   base_.store(v, std::memory_order_relaxed);
 }
 
 void Gauge::add(double d) {
   if (!detail::runtime_on()) return;
-  atomic_apply(cells_[detail::shard_slot()].v, d,
-               [](double a, double b) { return a + b; });
+  atomic_apply(cells_.local().v, d, [](double a, double b) { return a + b; });
 }
 
 void Gauge::set_max(double v) {
@@ -101,9 +102,9 @@ void Gauge::set_max(double v) {
   double cur = base_.load(std::memory_order_relaxed);
   for (;;) {
     double shards = 0.0;
-    for (const auto& cell : cells_) {
+    cells_.for_each([&shards](const detail::ShardF64& cell) {
       shards += cell.v.load(std::memory_order_relaxed);
-    }
+    });
     if (cur + shards >= v) return;
     if (base_.compare_exchange_weak(cur, v - shards,
                                     std::memory_order_relaxed)) {
@@ -114,14 +115,15 @@ void Gauge::set_max(double v) {
 
 // One thread's slice of a histogram, allocated on first observation so
 // idle metrics cost one pointer array. The bucket vector never resizes
-// after construction, so element addresses are stable for readers.
+// after construction, so element addresses are stable for readers. The
+// shard's count is the sum of its buckets.
 struct Histogram::Shard {
   explicit Shard(std::size_t n_buckets)
       : buckets(n_buckets),
         min(std::numeric_limits<double>::infinity()),
         max(-std::numeric_limits<double>::infinity()) {}
+  std::atomic<std::uint32_t> writers{0};  // observe() calls in flight
   std::vector<std::atomic<std::uint64_t>> buckets;
-  std::atomic<std::uint64_t> count{0};
   std::atomic<double> sum{0.0};
   std::atomic<double> min;
   std::atomic<double> max;
@@ -134,35 +136,37 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
-Histogram::~Histogram() {
-  for (auto& slot : shards_) delete slot.load(std::memory_order_acquire);
-}
-
-Histogram::Shard& Histogram::shard() {
-  auto& slot = shards_[detail::shard_slot()];
-  Shard* existing = slot.load(std::memory_order_acquire);
-  if (existing) return *existing;
-  auto* fresh = new Shard(bounds_.size() + 1);
-  Shard* expected = nullptr;
-  if (slot.compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    return *fresh;
-  }
-  // Another thread hashed onto the same slot and won the install race.
-  delete fresh;
-  return *expected;
-}
+Histogram::~Histogram() = default;
 
 void Histogram::observe(double v) {
   if (!detail::runtime_on()) return;
-  Shard& s = shard();
+  Shard& s = shards_.local(bounds_.size() + 1);
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  s.buckets[idx].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
+  // Enter the shard, then check for a reset: seq_cst on both sides, so
+  // either this writer sees reset()'s odd epoch and waits it out, or the
+  // reset sees this writer and waits for it to leave before zeroing. No
+  // observation is ever half erased.
+  for (;;) {
+    s.writers.fetch_add(1, std::memory_order_seq_cst);
+    if ((epoch_.load(std::memory_order_seq_cst) & 1) == 0) break;
+    s.writers.fetch_sub(1, std::memory_order_release);
+    while (epoch_.load(std::memory_order_acquire) & 1) std::this_thread::yield();
+  }
   atomic_apply(s.sum, v, [](double a, double b) { return a + b; });
-  atomic_apply(s.min, v, [](double a, double b) { return a < b ? a : b; });
-  atomic_apply(s.max, v, [](double a, double b) { return a > b ? a : b; });
+  // min/max store only when v extends the range (the common case stores
+  // nothing).
+  double lo = s.min.load(std::memory_order_relaxed);
+  while (v < lo && !s.min.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
+  }
+  double hi = s.max.load(std::memory_order_relaxed);
+  while (v > hi && !s.max.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+  }
+  // The bucket increment is the count increment. It comes last, with
+  // release, so a reader that acquires it also sees this observation's
+  // min and max: a nonzero count never pairs with an unset min/max.
+  s.buckets[idx].fetch_add(1, std::memory_order_release);
+  s.writers.fetch_sub(1, std::memory_order_release);
 }
 
 Histogram::Merged Histogram::merged() const {
@@ -178,17 +182,18 @@ Histogram::Merged Histogram::merged() const {
     m.buckets.assign(n_buckets, 0);
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    for (const auto& slot : shards_) {
-      const Shard* s = slot.load(std::memory_order_acquire);
-      if (!s) continue;
+    shards_.for_each([&](const Shard& s) {
+      // Buckets first, with acquire: min/max are read no older than the
+      // observations counted (see observe).
       for (std::size_t i = 0; i < n_buckets; ++i) {
-        m.buckets[i] += s->buckets[i].load(std::memory_order_relaxed);
+        const std::uint64_t n = s.buckets[i].load(std::memory_order_acquire);
+        m.buckets[i] += n;
+        m.count += n;
       }
-      m.count += s->count.load(std::memory_order_relaxed);
-      m.sum += s->sum.load(std::memory_order_relaxed);
-      lo = std::min(lo, s->min.load(std::memory_order_relaxed));
-      hi = std::max(hi, s->max.load(std::memory_order_relaxed));
-    }
+      m.sum += s.sum.load(std::memory_order_relaxed);
+      lo = std::min(lo, s.min.load(std::memory_order_relaxed));
+      hi = std::max(hi, s.max.load(std::memory_order_relaxed));
+    });
     // Re-check via a dummy RMW: its release half keeps the shard loads
     // above from sinking past this point (a plain atomic_thread_fence
     // is not instrumented by -fsanitize=thread).
@@ -214,20 +219,20 @@ void Histogram::reset() {
   // Odd epoch: merges that started earlier retry; merges that start now
   // spin until the zeroing below is complete, so nobody observes a
   // half-zeroed histogram.
-  epoch_.fetch_add(1, std::memory_order_release);
-  for (auto& slot : shards_) {
-    Shard* s = slot.load(std::memory_order_acquire);
-    if (!s) continue;
-    for (auto& bucket : s->buckets) {
-      bucket.store(0, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  shards_.for_each([](Shard& s) {
+    // Writers that entered before the odd epoch finish first (see
+    // observe); later ones wait for the even epoch.
+    while (s.writers.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
     }
-    s->count.store(0, std::memory_order_relaxed);
-    s->sum.store(0.0, std::memory_order_relaxed);
-    s->min.store(std::numeric_limits<double>::infinity(),
-                 std::memory_order_relaxed);
-    s->max.store(-std::numeric_limits<double>::infinity(),
-                 std::memory_order_relaxed);
-  }
+    s.min.store(std::numeric_limits<double>::infinity(),
+                std::memory_order_relaxed);
+    s.max.store(-std::numeric_limits<double>::infinity(),
+                std::memory_order_relaxed);
+    s.sum.store(0.0, std::memory_order_relaxed);
+    for (auto& bucket : s.buckets) bucket.store(0, std::memory_order_relaxed);
+  });
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
@@ -252,8 +257,24 @@ std::shared_ptr<MetricsRegistry> MetricsRegistry::scoped(Labels extra) {
   for (auto& kv : extra) combined.push_back(std::move(kv));
   auto child = std::make_shared<MetricsRegistry>(std::move(combined));
   const std::lock_guard<std::mutex> lock(children_mutex_);
+  // A registry whose cohorts are never aggregated (the root) would keep
+  // every expired entry, and each one pins its make_shared block. Prune
+  // when the list is full, and grow it only when more than half of it is
+  // live: amortised O(1) per child, and the list stays within a small
+  // multiple of the live children.
+  if (children_.size() == children_.capacity()) {
+    std::erase_if(children_, [](const auto& weak) { return weak.expired(); });
+    if (children_.size() > children_.capacity() / 2) {
+      children_.reserve(2 * children_.capacity());
+    }
+  }
   children_.push_back(child);
   return child;
+}
+
+std::size_t MetricsRegistry::tracked_children() const {
+  const std::lock_guard<std::mutex> lock(children_mutex_);
+  return children_.size();
 }
 
 std::vector<CohortAggregate> MetricsRegistry::aggregate_cohorts() const {

@@ -44,7 +44,10 @@ inline constexpr bool kEnabled = IRONIC_OBS_ENABLED != 0;
 // Per-thread shard count (power of two). Threads hash onto slots by a
 // monotonically assigned ordinal, so the first kMetricShards threads get
 // private slots; beyond that, slots are shared but stay correct (every
-// shard update is atomic). 16 slots x 64 B = 1 KiB per scalar metric.
+// shard update is atomic). A slot's 64 B cell is allocated by the first
+// thread that records into it, so a scalar metric costs a 128 B pointer
+// array plus one cell per recording thread (none for a gauge that is
+// only ever set).
 inline constexpr std::size_t kMetricShards = 16;
 
 namespace detail {
@@ -73,6 +76,54 @@ struct alignas(64) ShardU64 {
 };
 struct alignas(64) ShardF64 {
   std::atomic<double> v{0.0};
+};
+
+// One Cell per shard slot, allocated by the first thread that touches the
+// slot (a CAS install: the loser of a race on a shared slot deletes its
+// copy), so an idle metric costs one pointer array. Cells live as long as
+// their owner.
+template <typename Cell>
+class LazyCells {
+ public:
+  LazyCells() = default;
+  LazyCells(const LazyCells&) = delete;
+  LazyCells& operator=(const LazyCells&) = delete;
+  ~LazyCells() {
+    for (auto& slot : slots_) delete slot.load(std::memory_order_acquire);
+  }
+
+  // The calling thread's cell, constructed from `args` on first touch.
+  template <typename... Args>
+  Cell& local(const Args&... args) {
+    auto& slot = slots_[shard_slot()];
+    Cell* cell = slot.load(std::memory_order_acquire);
+    return cell != nullptr ? *cell : install(slot, args...);
+  }
+
+  // Visit every allocated cell.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& slot : slots_) {
+      if (Cell* cell = slot.load(std::memory_order_acquire)) fn(*cell);
+    }
+  }
+
+ private:
+  // Out of line: the first touch of a slot is the cold path.
+  template <typename... Args>
+  [[gnu::noinline]] static Cell& install(std::atomic<Cell*>& slot, const Args&... args) {
+    auto* fresh = new Cell(args...);
+    Cell* expected = nullptr;
+    if (slot.compare_exchange_strong(expected, fresh,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      return *fresh;
+    }
+    delete fresh;
+    return *expected;
+  }
+
+  std::array<std::atomic<Cell*>, kMetricShards> slots_{};
 };
 
 }  // namespace detail
@@ -105,21 +156,23 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) {
     if (!detail::runtime_on()) return;
-    cells_[detail::shard_slot()].v.fetch_add(n, std::memory_order_relaxed);
+    cells_.local().v.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
     std::uint64_t total = 0;
-    for (const auto& cell : cells_) {
+    cells_.for_each([&total](const detail::ShardU64& cell) {
       total += cell.v.load(std::memory_order_relaxed);
-    }
+    });
     return total;
   }
   void reset() {
-    for (auto& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
+    cells_.for_each([](detail::ShardU64& cell) {
+      cell.v.store(0, std::memory_order_relaxed);
+    });
   }
 
  private:
-  std::array<detail::ShardU64, kMetricShards> cells_;
+  detail::LazyCells<detail::ShardU64> cells_;
 };
 
 // Last-written instantaneous value plus sharded deltas: `set` stores the
@@ -137,31 +190,33 @@ class Gauge {
   void set_max(double v);
   double value() const {
     double total = base_.load(std::memory_order_relaxed);
-    for (const auto& cell : cells_) {
+    cells_.for_each([&total](const detail::ShardF64& cell) {
       total += cell.v.load(std::memory_order_relaxed);
-    }
+    });
     return total;
   }
   void reset() { set(0.0); }
 
  private:
   std::atomic<double> base_{0.0};
-  std::array<detail::ShardF64, kMetricShards> cells_;
+  detail::LazyCells<detail::ShardF64> cells_;
 };
 
 // Fixed-boundary histogram: `bounds` are the inclusive upper edges of the
 // buckets; one overflow bucket catches everything above the last edge.
 // Observation updates the calling thread's lazily allocated shard
-// (bucket increment plus CAS-maintained sum/min/max, all thread-private
-// when ordinals do not collide).
+// (CAS-maintained sum/min/max, then the bucket increment, all
+// thread-private when ordinals do not collide).
 //
 // Snapshot coherence contract: merge-style readers (count/sum/min/max/
 // percentile/bucket_counts/merged) are seqlock-protected against
 // reset(): a reader never observes a half-zeroed histogram — it sees the
-// state either entirely before or entirely after a concurrent reset.
-// Individual observe() calls are NOT transactional: a reader overlapping
-// an in-flight observe may see its bucket increment before its
-// count/sum update (bounded by the number of in-flight observers).
+// state either entirely before or entirely after a concurrent reset —
+// and reset() waits for in-flight observe() calls, so none is half
+// erased. count is the bucket total, and a nonzero count always comes
+// with the min/max of real observations. Individual observe() calls are
+// NOT transactional: a reader overlapping one may see its sum update
+// without its bucket increment.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -200,10 +255,9 @@ class Histogram {
 
  private:
   struct Shard;
-  Shard& shard();
 
   std::vector<double> bounds_;
-  std::array<std::atomic<Shard*>, kMetricShards> shards_{};
+  detail::LazyCells<Shard> shards_;
   // Seqlock epoch: odd while a reset is zeroing shards; readers retry
   // until they bracket a stable even epoch (mutable: the const read
   // side re-checks it with a dummy RMW, see merged()).
@@ -269,6 +323,9 @@ class MetricsRegistry {
   // can fold live children into cohort views. Children may outlive the
   // parent's interest and expire naturally.
   std::shared_ptr<MetricsRegistry> scoped(Labels extra);
+  // Weak references to scoped children held now, live or expired but not
+  // yet pruned (scoped() prunes when its list is full).
+  std::size_t tracked_children() const;
 
   // Aggregate every metric across the live scoped children (expired
   // children are pruned). Ordered by metric name.

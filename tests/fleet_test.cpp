@@ -24,6 +24,7 @@
 #include "src/fleet/fleet.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
+#include "src/magnetics/coupling.hpp"
 
 namespace {
 
@@ -502,6 +503,67 @@ TEST(Fleet, MagnetoelectricFleetRunsTheLadderOfItsBackend) {
   EXPECT_EQ(result.failed, 0);
   EXPECT_LE(result.lost_rate, 0.05);
   EXPECT_EQ(result.fingerprint, kMeFleetPin);
+}
+
+// A misalignment held over many exchanges costs one offset Neumann sum
+// per geometry, not one per power query: the inductive link keeps its
+// last geometry. Counted, not timed, so it holds on any host; a
+// fingerprint cannot see the 40x slowdown losing the memo would cost.
+TEST(FleetSession, HeldMisalignmentCostsOneNeumannSumPerGeometry) {
+  fleet::CohortProfile cohort;
+  cohort.name = "held_misalignment";
+  cohort.comms_fault_rate = 0.0;
+  cohort.rail_fault_rate = 0.0;
+  cohort.link_fault_rate = 1.0;
+  cohort.mean_fault_duration = 1e3;  // windows outlast the session
+  cohort.workload = fault::Workload::kLactateBehavioural;
+  const double cadence = 0.25;  // the inductive link's exchange cadence
+
+  int held = 0;
+  int aligned = 0;
+  for (std::uint64_t index = 0; index < 64 && (held < 4 || aligned < 2);
+       ++index) {
+    fleet::SessionSpec spec;
+    spec.seed = 0x5eedf1ee7ull;
+    spec.index = index;
+    spec.exchanges = 12;
+    spec.cohort = cohort;
+    const auto schedule = fleet::make_session_schedule(spec);
+    std::vector<fault::FaultEvent> offsets;
+    bool steps = false;
+    for (const auto& event : schedule.events()) {
+      if (event.kind == fault::FaultKind::kMisalignment) offsets.push_back(event);
+      steps = steps || event.kind == fault::FaultKind::kCouplingStep;
+    }
+    // Keep sessions whose geometry is one misalignment, held from before
+    // the middle exchange to the end (so at least six exchanges query
+    // it), or none at all.
+    if (steps || offsets.size() > 1) continue;
+    if (offsets.size() == 1 && offsets[0].start > cadence * spec.exchanges / 2) {
+      continue;
+    }
+    if (offsets.empty() ? aligned == 2 : held == 4) continue;
+
+    const auto before = magnetics::offset_mutual_evaluations();
+    const auto result = fleet::run_patient_session(spec, nullptr, nullptr);
+    const auto evaluations = magnetics::offset_mutual_evaluations() - before;
+    EXPECT_GE(result.power_queries, static_cast<std::uint64_t>(spec.exchanges));
+    if (offsets.empty()) {
+      EXPECT_EQ(evaluations, 0u) << "session " << index;
+      ++aligned;
+      continue;
+    }
+    const auto& event = offsets[0];
+    ASSERT_TRUE(event.duration <= 0.0 ||
+                event.start + event.duration > result.sim_time)
+        << "session " << index << ": the misalignment ends mid-session";
+    EXPECT_EQ(evaluations, 1u)
+        << "session " << index << ": " << result.power_queries
+        << " power queries";
+    ++held;
+  }
+  EXPECT_EQ(held, 4);
+  EXPECT_EQ(aligned, 2);
 }
 
 }  // namespace

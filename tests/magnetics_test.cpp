@@ -77,6 +77,67 @@ TEST(Coupling, LateralOffsetReducesCoupling) {
   EXPECT_GT(offset, 0.0);
 }
 
+// The direct Neumann double loop mutual_filaments ran before its trig
+// moved into shared angle tables, kept verbatim as the bit-exact oracle.
+double direct_neumann(double a, double b, double d, double rho, int n) {
+  const double h = constants::kTwoPi / n;
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double t = i * h;
+    const double x1 = a * std::cos(t);
+    const double y1 = a * std::sin(t);
+    for (int j = 0; j < n; ++j) {
+      const double s = j * h;
+      const double x2 = rho + b * std::cos(s);
+      const double y2 = b * std::sin(s);
+      const double dx = x2 - x1;
+      const double dy = y2 - y1;
+      const double r = std::sqrt(dx * dx + dy * dy + d * d);
+      sum += std::cos(t - s) / r;
+    }
+  }
+  return constants::kMu0 / (4.0 * constants::kPi) * a * b * sum * h * h;
+}
+
+TEST(Coupling, AngleTablesAreBitIdenticalToTheDirectLoop) {
+  for (const int n : {8, 64, 96, 128}) {
+    for (const double a : {1.5e-3, 7e-3, 19e-3}) {
+      for (const double b : {2e-3, 12.5e-3}) {
+        for (const double d : {0.4e-3, 6e-3, 21e-3}) {
+          for (const double rho : {-4e-3, 1e-4, 5e-3, 10e-3}) {
+            EXPECT_EQ(mutual_filaments(a, b, d, rho, n),
+                      direct_neumann(a, b, d, rho, n))
+                << "n=" << n << " a=" << a << " b=" << b << " d=" << d
+                << " rho=" << rho;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Coupling, CoilMutualIsBitIdenticalOverTheFaultEnvelope) {
+  // The stock coil pair over the injector's envelope: distance 6-20 mm,
+  // lateral offset 0-10 mm, against the filament sum with the direct loop.
+  const Coil tx{patch_coil_spec()};
+  const Coil rx{implant_coil_spec()};
+  for (const double distance : {6e-3, 10e-3, 14e-3, 20e-3}) {
+    for (const double offset : {0.0, 1e-3, 4e-3, 7e-3, 10e-3}) {
+      double expected = 0.0;
+      for (const auto& f1 : tx.filaments()) {
+        for (const auto& f2 : rx.filaments()) {
+          const double d = distance + f1.z + f2.z;
+          expected += offset == 0.0
+                          ? mutual_coaxial_filaments(f1.radius, f2.radius, d)
+                          : direct_neumann(f1.radius, f2.radius, d, offset, 64);
+        }
+      }
+      EXPECT_EQ(mutual_inductance(tx, rx, distance, offset), expected)
+          << "distance=" << distance << " offset=" << offset;
+    }
+  }
+}
+
 TEST(Coupling, RejectsBadArguments) {
   EXPECT_THROW(mutual_coaxial_filaments(0.0, 1e-3, 1e-3), std::invalid_argument);
   EXPECT_THROW(mutual_filaments(1e-3, 1e-3, 1e-3, 1e-3, 2), std::invalid_argument);
@@ -306,6 +367,58 @@ TEST(Link, RejectsInvalidConfig) {
   EXPECT_EQ(link.coupling(), coupling);
   EXPECT_THROW(link.analyze(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(link.drive_for_power(-1.0, 10.0), std::invalid_argument);
+}
+
+void expect_same_analysis(const LinkAnalysis& got, const LinkAnalysis& want) {
+  EXPECT_EQ(got.coupling, want.coupling);
+  EXPECT_EQ(got.mutual, want.mutual);
+  EXPECT_EQ(got.i_primary, want.i_primary);
+  EXPECT_EQ(got.i_secondary, want.i_secondary);
+  EXPECT_EQ(got.power_in, want.power_in);
+  EXPECT_EQ(got.power_delivered, want.power_delivered);
+  EXPECT_EQ(got.efficiency, want.efficiency);
+}
+
+// A link built at the geometry, so nothing of an earlier one can linger.
+LinkAnalysis fresh_analysis(double distance, double lateral_offset) {
+  LinkConfig cfg;
+  cfg.distance = distance;
+  cfg.lateral_offset = lateral_offset;
+  return InductiveLink{cfg}.analyze(1.0, 10.0);
+}
+
+TEST(Link, RepeatedGeometryIsMemoisedBitIdentically) {
+  InductiveLink link{LinkConfig{}};
+  link.set_geometry(9e-3, 3e-3);
+  const LinkAnalysis first = link.analyze(1.0, 10.0);
+  const auto evaluations = offset_mutual_evaluations();
+  link.set_geometry(9e-3, 3e-3);
+  EXPECT_EQ(offset_mutual_evaluations(), evaluations);  // served by the memo
+  expect_same_analysis(link.analyze(1.0, 10.0), first);
+  expect_same_analysis(first, fresh_analysis(9e-3, 3e-3));
+}
+
+TEST(Link, ReturningToAGeometryRestoresItsBits) {
+  // A -> B -> A: the memo holds only the last geometry, so the way back
+  // recomputes, and must land on the same bits as the first visit.
+  InductiveLink link{LinkConfig{}};
+  link.set_geometry(8e-3, 5e-3);
+  const LinkAnalysis a = link.analyze(1.0, 10.0);
+  link.set_geometry(12e-3, 2e-3);
+  expect_same_analysis(link.analyze(1.0, 10.0), fresh_analysis(12e-3, 2e-3));
+  link.set_geometry(8e-3, 5e-3);
+  expect_same_analysis(link.analyze(1.0, 10.0), a);
+  expect_same_analysis(a, fresh_analysis(8e-3, 5e-3));
+}
+
+TEST(Link, RejectedGeometryLeavesTheMemoIntact) {
+  InductiveLink link{LinkConfig{}};
+  link.set_geometry(7e-3, 4e-3);
+  const LinkAnalysis before = link.analyze(1.0, 10.0);
+  EXPECT_THROW(link.set_geometry(-1e-3, 6e-3), std::invalid_argument);
+  link.set_geometry(7e-3, 4e-3);
+  expect_same_analysis(link.analyze(1.0, 10.0), before);
+  expect_same_analysis(before, fresh_analysis(7e-3, 4e-3));
 }
 
 }  // namespace

@@ -236,9 +236,10 @@ TEST(MetricsShard, ThreadIndicesAreStableAndDistinct) {
 
 TEST(MetricsShard, HistogramResetNeverTearsTheMergedView) {
   // The documented reset contract: a merge that overlaps reset() retries
-  // (seqlock) and never returns a half-zeroed mixture. With one writer
-  // in flight, the bucket total may lead the count by at most the one
-  // in-progress observation.
+  // (seqlock) and never returns a half-zeroed mixture, and reset() never
+  // half-erases an in-flight observation. The bound below allows the
+  // bucket total to lead the count by one in-progress observation; today
+  // the count is the bucket total.
   auto& h = obs::MetricsRegistry::instance().histogram(
       "test.obs.shard_reset_hist", {1.0, 2.0, 5.0});
   std::atomic<bool> stop{false};
@@ -246,6 +247,17 @@ TEST(MetricsShard, HistogramResetNeverTearsTheMergedView) {
     const obs::ThreadRegistration registration;
     while (!stop.load(std::memory_order_relaxed)) h.observe(1.5);
   });
+  // Stop and join on every exit path: a failing ASSERT_* returns early,
+  // and destroying a joinable std::thread would terminate the binary
+  // instead of reporting the failure.
+  struct StopAndJoin {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~StopAndJoin() {
+      stop.store(true, std::memory_order_relaxed);
+      thread.join();
+    }
+  } const stop_and_join{stop, writer};
   for (int round = 0; round < 200; ++round) {
     h.reset();
     const auto m = h.merged();
@@ -258,8 +270,6 @@ TEST(MetricsShard, HistogramResetNeverTearsTheMergedView) {
       ASSERT_DOUBLE_EQ(m.max, 1.5);
     }
   }
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
 }
 
 TEST(ScopedRegistry, ChildLabelsExtendTheParent) {
@@ -271,6 +281,27 @@ TEST(ScopedRegistry, ChildLabelsExtendTheParent) {
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].labels, "campaign=unit,scenario=ask_burst");
   EXPECT_DOUBLE_EQ(samples[0].value, 2.0);
+}
+
+TEST(ScopedRegistry, DroppedChildrenArePrunedWithoutAggregation) {
+  // The root registry's cohorts are never aggregated, so scoped() itself
+  // must prune expired children: each one pins its make_shared block.
+  obs::MetricsRegistry parent;
+  std::vector<std::shared_ptr<obs::MetricsRegistry>> live;
+  for (int j = 0; j < 4; ++j) {
+    live.push_back(parent.scoped({{"live", std::to_string(j)}}));
+    live.back()->gauge("test.obs.live").set(1.0);
+  }
+  for (int j = 0; j < 10000; ++j) {
+    parent.scoped({{"dropped", std::to_string(j)}})
+        ->counter("test.obs.dropped")
+        .add();
+  }
+  EXPECT_LE(parent.tracked_children(), 4 * live.size());
+  const auto cohorts = parent.aggregate_cohorts();
+  ASSERT_EQ(cohorts.size(), 1u);
+  EXPECT_EQ(cohorts[0].name, "test.obs.live");
+  EXPECT_EQ(cohorts[0].sessions, live.size());
 }
 
 TEST(ScopedRegistry, CohortAggregatesAcrossSessions) {

@@ -420,6 +420,9 @@ run_linkphy() {
   local fleet="$ROOT/build-ci-release/tools/fleet_runner"
   local sweep="$ROOT/build-ci-release/tools/sweep_runner"
   local validator="$ROOT/build-ci-release/tools/trace_validate"
+  # Every leg's run report lands in the build tree, never in the
+  # checkout's tracked BENCH_*.json.
+  local -x IRONIC_REPORT_DIR="$ROOT/build-ci-release"
 
   # Backend #1 neutrality + thread invariance: every registered campaign
   # (the three pre-LinkPhy ones now dispatching through the inductive
@@ -430,14 +433,26 @@ run_linkphy() {
   local t1="$ROOT/build-ci-release/linkphy_t1.json"
   local t4="$ROOT/build-ci-release/linkphy_t4.json"
   "$fault" --threads 1 --out "$t1" all
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$fault" --threads 4 --out "$t4" all
+  "$fault" --threads 4 --out "$t4" all
   if ! diff <(grep '"fingerprint"' "$t1") <(grep '"fingerprint"' "$t4"); then
     echo "ci: FAIL -- campaign fingerprints differ across thread counts" >&2
     exit 1
   fi
   grep -q '"campaign": "me_backscatter_soak"' "$t1"
   grep -q '"campaign": "bioz_tissue_drift"' "$t1"
+
+  # The link.* telemetry published by run_campaign must land in the run
+  # report: the query counter plus both backends' operating points.
+  # Checked on the 4-thread leg's report, before later legs replace it.
+  "$validator" --require-obs \
+    --require link.power_queries \
+    --require link.inductive.p_nominal_w \
+    --require link.inductive.nominal_rate_bps \
+    --require link.inductive.cadence_s \
+    --require link.me.p_nominal_w \
+    --require link.me.nominal_rate_bps \
+    --require link.me.cadence_s \
+    "$ROOT/build-ci-release/BENCH_fault_resilience.json"
 
   # The magnetoelectric campaign again at a third thread count: its
   # fingerprint must match the wide leg exactly.
@@ -449,18 +464,6 @@ run_linkphy() {
     echo "ci: FAIL -- me_backscatter_soak fingerprint differs at 3 threads" >&2
     exit 1
   fi
-
-  # The link.* telemetry published by run_campaign must land in the run
-  # report: the query counter plus both backends' operating points.
-  "$validator" --require-obs \
-    --require link.power_queries \
-    --require link.inductive.p_nominal_w \
-    --require link.inductive.nominal_rate_bps \
-    --require link.inductive.cadence_s \
-    --require link.me.p_nominal_w \
-    --require link.me.nominal_rate_bps \
-    --require link.me.cadence_s \
-    "$ROOT/build-ci-release/BENCH_fault_resilience.json"
 
   # Bio-impedance smoke: the campaign must deliver every measurement,
   # and a bioz fleet must run with zero charge-up captures and zero
